@@ -12,7 +12,8 @@ The 10k leg takes minutes, so the whole module is opt-in::
         benchmarks/test_bench_scale.py -x -q
 
 Results land under the ``batch_scale`` / ``scale_store_layout`` keys
-of ``BENCH_pipeline.json``.
+of ``.bench_build/BENCH_pipeline.json`` (copy it over the tracked
+``BENCH_pipeline.json`` to record a new snapshot).
 """
 
 import json
@@ -51,10 +52,11 @@ def _summary_subprocess(cache_dir, out_path, *, count, jobs=4, seed=0,
 
 
 def _merge_bench(key, entry):
-    out = REPO_ROOT / "BENCH_pipeline.json"
+    out = REPO_ROOT / ".bench_build" / "BENCH_pipeline.json"
     payload = json.loads(out.read_text(encoding="utf-8")) \
         if out.exists() else {}
     payload[key] = entry
+    out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
 

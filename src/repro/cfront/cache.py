@@ -21,8 +21,10 @@ Environment knobs:
 
 * ``REPRO_CACHE=0``      — disable all frontend caches (every call misses,
   the disk layer included);
-* ``REPRO_DISK_CACHE=0`` — disable only the disk layer;
-* ``REPRO_CACHE_SIZE=N`` — LRU capacity per cache (default 512 entries).
+* ``REPRO_DISK_CACHE=0`` — disable only the disk layer.
+
+Each LRU holds ``DEFAULT_CACHE_SIZE`` (512) entries unless its
+constructor is given another ``maxsize``.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ DEFAULT_CACHE_SIZE = 512
 
 def caches_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1") != "0"
-
-
-def default_cache_size() -> int:
-    from ..core.envknobs import int_knob
-    return int_knob("REPRO_CACHE_SIZE", DEFAULT_CACHE_SIZE)
 
 
 _SALT: bytes | None = None
@@ -140,7 +137,7 @@ class ContentCache:
         self.name = name
         self.family = family
         self.maxsize = maxsize if maxsize is not None \
-            else default_cache_size()
+            else DEFAULT_CACHE_SIZE
         self.stats = CacheStats(name)
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         _REGISTRY[name] = self

@@ -96,21 +96,14 @@ BREAKER_OPEN = "open"              # tripped: candidates skipped
 BREAKER_HALF_OPEN = "half-open"    # cooldown over: one trial allowed
 
 
-def breaker_threshold() -> int:
-    """Consecutive operational failures (backend raised, candidate did
-    not parse, or the judge itself errored) that open a backend's
-    breaker.  ``REPRO_BREAKER_THRESHOLD`` (default 10); 0 disables
-    breakers entirely."""
-    from .envknobs import int_knob
-    return int_knob("REPRO_BREAKER_THRESHOLD", 10, minimum=0)
+#: Consecutive operational failures (backend raised, candidate did not
+#: parse, or the judge itself errored) that open a backend's breaker.
+BREAKER_THRESHOLD = 10
 
-
-def breaker_cooldown() -> int:
-    """Files an open breaker skips before half-opening for one trial
-    (``REPRO_BREAKER_COOLDOWN``, default 5, min 1).  Measured in files,
-    not wall time, so serial and replayed runs behave identically."""
-    from .envknobs import int_knob
-    return int_knob("REPRO_BREAKER_COOLDOWN", 5, minimum=1)
+#: Files an open breaker skips before half-opening for one trial.
+#: Measured in files, not wall time, so serial and replayed runs behave
+#: identically.
+BREAKER_COOLDOWN = 5
 
 
 class _BreakerState:
@@ -143,15 +136,12 @@ class _BreakerState:
         return False
 
     def record_failure(self, backend_id: str, reason: str) -> None:
-        threshold = breaker_threshold()
-        if threshold <= 0:
-            return
         if self.state == BREAKER_HALF_OPEN:
             # The trial failed: straight back to open.
             self._trip(backend_id, reason)
             return
         self.failures += 1
-        if self.failures >= threshold:
+        if self.failures >= BREAKER_THRESHOLD:
             self._trip(backend_id, reason)
 
     def record_success(self) -> None:
@@ -161,14 +151,14 @@ class _BreakerState:
 
     def _trip(self, backend_id: str, reason: str) -> None:
         self.state = BREAKER_OPEN
-        self.cooldown_left = breaker_cooldown()
+        self.cooldown_left = BREAKER_COOLDOWN
         self.failures = 0
         self.trips += 1
         if not self.warned:
             self.warned = True
             warnings.warn(
                 f"backend {backend_id!r} circuit breaker opened after "
-                f"{breaker_threshold()} consecutive failures (last: "
+                f"{BREAKER_THRESHOLD} consecutive failures (last: "
                 f"{reason}); skipping it for "
                 f"{self.cooldown_left} file(s) before retrying",
                 RuntimeWarning, stacklevel=4)
@@ -660,10 +650,9 @@ def arbitrate_file(text: str, filename: str,
     inputs = default_inputs(filename, seed=fuzz_seed)
     report = ArbitrationReport(filename, tuple(backends),
                                mode=arbitration)
-    breakers_on = breaker_threshold() > 0
     for backend_id in backends:
-        breaker = _breaker_for(backend_id) if breakers_on else None
-        if breaker is not None and breaker.should_skip(backend_id):
+        breaker = _breaker_for(backend_id)
+        if breaker.should_skip(backend_id):
             report.candidates.append(BackendCandidate(
                 backend_id, None, status=CANDIDATE_SKIPPED,
                 reason=f"circuit breaker open; "
@@ -683,8 +672,7 @@ def arbitrate_file(text: str, filename: str,
                 if diagnostics is not None:
                     diagnostics.append(diagnostic_from_exception(
                         backend_id, filename, exc))
-                if breaker is not None:
-                    breaker.record_failure(backend_id, reason)
+                breaker.record_failure(backend_id, reason)
                 continue
         candidate = BackendCandidate(backend_id, result)
         if result.candidates == 0:
@@ -725,16 +713,15 @@ def arbitrate_file(text: str, filename: str,
                     else:
                         candidate.status = CANDIDATE_RUNNER_UP
         report.candidates.append(candidate)
-        if breaker is not None:
-            # Operational failures (the backend's output did not parse,
-            # or the judge itself errored) feed the breaker; a
-            # semantics-changed rejection is the oracle working as
-            # designed and counts as a healthy run.
-            if candidate.status == CANDIDATE_REJECTED \
-                    and candidate.validation is None:
-                breaker.record_failure(backend_id, candidate.reason)
-            else:
-                breaker.record_success()
+        # Operational failures (the backend's output did not parse, or
+        # the judge itself errored) feed the breaker; a semantics-changed
+        # rejection is the oracle working as designed and counts as a
+        # healthy run.
+        if candidate.status == CANDIDATE_REJECTED \
+                and candidate.validation is None:
+            breaker.record_failure(backend_id, candidate.reason)
+        else:
+            breaker.record_success()
 
     eligible = [(index, candidate)
                 for index, candidate in enumerate(report.candidates)

@@ -16,12 +16,13 @@ fork pool (``jobs=N`` / ``REPRO_JOBS``).  Both produce byte-identical
 results — tasks are ordered by filename and the pool preserves input
 order — so a parallel run differs from a serial one only in wall clock.
 Dispatch is a *streaming work queue*: the pool pulls tasks from a lazy
-source no more than ``REPRO_STREAM_WINDOW`` files ahead of emission and
-streams results back in input order as they complete, so the parent's
-working set is O(jobs + window), not O(batch).  :func:`apply_batch`
-collects the stream into a :class:`BatchResult`; :func:`stream_batch`
-exposes it directly for batch sizes where retaining every report is the
-bottleneck (the 10k-file bench legs run this way).
+source no more than ``window`` files ahead of emission (default
+``max(16, 4 × jobs)``) and streams results back in input order as they
+complete, so the parent's working set is O(jobs + window), not
+O(batch).  :func:`apply_batch` collects the stream into a
+:class:`BatchResult`; :func:`stream_batch` exposes it directly for
+batch sizes where retaining every report is the bottleneck (the
+10k-file bench legs run this way).
 
 The whole pipeline is *fault-isolated*: every stage (preprocess, parse,
 SLR, STR, verify, validate) runs inside a guard that converts an
@@ -40,12 +41,10 @@ stage for chaos testing.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import pickle
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from ..cfront.cache import CacheStats, ContentCache, content_key, \
@@ -57,6 +56,7 @@ from .diagnostics import (
     STATUS_OK, STATUS_QUARANTINED, FileDiagnostic,
     diagnostic_from_exception, status_of, supervisor_diagnostic,
 )
+from .envknobs import float_knob, int_knob
 from .backends import (  # noqa: F401 (re-exported arbitration helpers)
     ARBITRATION_VERSION, CANDIDATE_ERROR, COMPOSITE_BACKEND,
     ArbitrationReport, arbitrate_file, arbitration_from_env,
@@ -67,7 +67,9 @@ from .session import AnalysisSession, get_session
 from .slr import SafeLibraryReplacement
 from .strtransform import SafeTypeReplacement
 from .transform import TransformResult
-from .validate import ValidationReport, default_inputs, validate_pair
+from .validate import (
+    ValidationReport, default_inputs, file_seed, validate_pair,
+)
 
 
 def default_jobs() -> int:
@@ -78,71 +80,33 @@ def default_jobs() -> int:
     answer at the machine's CPU count — more fork workers than cores
     only adds memory pressure and scheduler churn.
     """
-    raw = os.environ.get("REPRO_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer REPRO_JOBS={raw!r}; "
-                      f"running with 1 worker", RuntimeWarning,
-                      stacklevel=2)
-        return 1
-    if jobs <= 0:
-        warnings.warn(f"ignoring REPRO_JOBS={jobs} (must be >= 1); "
-                      f"running with 1 worker", RuntimeWarning,
-                      stacklevel=2)
-        return 1
+    jobs = int_knob("REPRO_JOBS", 1, fallback_note="running with 1 worker")
     return min(jobs, os.cpu_count() or 1)
 
 
 def task_timeout() -> float | None:
     """Per-task wall-clock budget for supervised pool workers
     (``REPRO_TASK_TIMEOUT`` seconds; unset/0 disables the watchdog)."""
-    raw = os.environ.get("REPRO_TASK_TIMEOUT", "")
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-numeric REPRO_TASK_TIMEOUT={raw!r}",
-                      RuntimeWarning, stacklevel=2)
-        return None
+    value = float_knob("REPRO_TASK_TIMEOUT", 0.0)
     return value if value > 0 else None
 
 
 def task_retries() -> int:
     """How many times a crashed/timed-out task is retried before it is
     recorded as failed (``REPRO_TASK_RETRIES``, default 1)."""
-    raw = os.environ.get("REPRO_TASK_RETRIES", "1")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        warnings.warn(f"ignoring non-integer REPRO_TASK_RETRIES={raw!r}; "
-                      f"using 1", RuntimeWarning, stacklevel=2)
-        return 1
+    return max(0, int_knob("REPRO_TASK_RETRIES", 1, minimum=None))
 
 
 def stream_window(jobs: int) -> int:
-    """Dispatch-ahead bound for the streaming scheduler
-    (``REPRO_STREAM_WINDOW``): how many tasks may be pulled from the
-    task source but not yet emitted.  This is the parent's working-set
-    bound — task texts and out-of-order results are held for at most
-    ``window`` files — and the reorder budget that keeps emission
-    input-ordered while workers complete out of order.  The default
-    scales with the worker count so the pool never idles waiting for
-    the emission head.
+    """Default dispatch-ahead bound for the streaming scheduler: how
+    many tasks may be pulled from the task source but not yet emitted.
+    This is the parent's working-set bound — task texts and
+    out-of-order results are held for at most ``window`` files — and
+    the reorder budget that keeps emission input-ordered while workers
+    complete out of order.  It scales with the worker count so the pool
+    never idles waiting for the emission head.
     """
-    from .envknobs import int_knob
-    return int_knob("REPRO_STREAM_WINDOW", max(16, 4 * max(1, jobs)))
-
-
-def dedup_window() -> int:
-    """How many representative reports the streaming batch retains for
-    content deduplication (``REPRO_DEDUP_WINDOW``, default 4096).  A
-    duplicate file whose representative was already evicted is simply
-    recomputed — correctness never depends on the window, only the
-    dedup hit rate does."""
-    from .envknobs import int_knob
-    return int_knob("REPRO_DEDUP_WINDOW", 4096)
+    return max(16, 4 * max(1, jobs))
 
 
 @dataclass
@@ -421,9 +385,6 @@ class SerialExecutor:
         self.supervision = _empty_supervision()
         self.max_inflight = 0
 
-    def map(self, tasks: list[FileTask]) -> list[FileTransformReport]:
-        return [transform_file(task) for task in tasks]
-
     def imap(self, tasks, *, window: int | None = None):
         """Stream ``(index, report)`` pairs in task order; the task
         source is consumed one task at a time, so parent memory never
@@ -539,24 +500,6 @@ class ProcessPoolExecutor:
         self.max_inflight = 0
         self._deaths_to_respawn = 0
 
-    def map(self, tasks: list[FileTask]) -> list[FileTransformReport]:
-        if self.jobs == 1 or len(tasks) <= 1:
-            serial = SerialExecutor()
-            reports = serial.map(tasks)
-            self.supervision = serial.supervision
-            return reports
-        ctx = self._fork_context()
-        if ctx is None:
-            serial = SerialExecutor()
-            reports = serial.map(tasks)
-            self.supervision = serial.supervision
-            return reports
-        # Unbounded window: map() holds every result anyway, so there
-        # is nothing to gain from capping dispatch-ahead (and the old
-        # eager-dispatch wall clock is preserved exactly).
-        return [report for _, report
-                in self._stream(ctx, iter(tasks), window=len(tasks))]
-
     def imap(self, tasks, *, window: int | None = None):
         """Stream ``(index, report)`` pairs back in task order as they
         complete, pulling from ``tasks`` (any iterable) no more than
@@ -567,9 +510,9 @@ class ProcessPoolExecutor:
         for the emission head, and the workers' in-flight tasks — is
         bounded by the window, so a 10k-file batch costs the parent the
         same memory as a window-sized one.  Supervision (watchdog,
-        dead-worker respawn, bounded retry) is identical to
-        :meth:`map`; emission order is deterministic input order at any
-        worker count.
+        dead-worker respawn, bounded retry) is described on the class;
+        emission order is deterministic input order at any worker
+        count.
         """
         if window is None:
             window = stream_window(self.jobs)
@@ -611,7 +554,7 @@ class ProcessPoolExecutor:
             self.inbox.put((index, task))
 
     def _stream(self, ctx, task_iter, *, window: int):
-        """The supervised streaming loop behind :meth:`map`/:meth:`imap`.
+        """The supervised streaming loop behind :meth:`imap`.
 
         ``held`` maps every pulled-but-unemitted index to its task (the
         retry source); ``ready`` holds completed reports waiting for the
@@ -809,8 +752,6 @@ class BatchStats:
     (worker caches are not merged back).  ``stage_times`` holds each
     file's per-stage breakdown (shipped back from workers, so it is
     complete at any worker count); ``stage_totals`` sums them.
-    ``deduplicated`` counts tasks served by another task's result
-    because their content was identical.
     """
 
     jobs: int
@@ -823,7 +764,6 @@ class BatchStats:
     validate: CacheStats = field(default_factory=CacheStats)
     backend: CacheStats = field(default_factory=CacheStats)
     stage_times: dict[str, dict[str, float]] = field(default_factory=dict)
-    deduplicated: int = 0
     #: Supervision tallies from the executor (fork pool only): tasks
     #: retried, watchdog timeouts, workers that died, workers respawned.
     supervision: dict[str, int] = field(default_factory=_empty_supervision)
@@ -856,7 +796,6 @@ class BatchStats:
                 "stage_totals_s": {name: round(seconds, 4)
                                    for name, seconds
                                    in sorted(self.stage_totals.items())},
-                "deduplicated": self.deduplicated,
                 "supervision": dict(self.supervision),
                 "backends_attempted": self.backends_attempted,
                 "backends_rejected": self.backends_rejected,
@@ -1016,26 +955,26 @@ class BatchResult:
 
 
 def _task_work_key(task: FileTask) -> str:
-    """What a task's outcome depends on — *not* the filename, except
-    when validating (the oracle's fuzz probes are seeded per file) or
-    when fault injection is armed (faults fire per file name, so
-    identical content may legitimately diverge)."""
-    parts = ["task", task.text, str(task.run_slr), str(task.run_str),
-             task.profile]
+    """What a task's outcome depends on: the file (the oracle's fuzz
+    probes are seeded per file, and every diagnostic names it), its
+    text, and the settings that shape the transform and its verdicts.
+    Files with identical content share work only through the
+    content-keyed caches and the artifact store underneath."""
+    parts = ["task", task.filename, task.text, str(task.run_slr),
+             str(task.run_str), task.profile, str(task.validate),
+             # The resolved probe seed: ``REPRO_VALIDATE_SEED`` decides
+             # it when the task carries none.
+             str(file_seed(task.filename, task.fuzz_seed))]
     if task.backends:
         # Arbitration outcomes depend on the backend chain, the
-        # arbitration mode, and the contract version — and the judge
-        # always runs, with per-file seeded probes, so the filename is
-        # part of the work.
+        # arbitration mode, and the contract version.
         parts += ["backends", ARBITRATION_VERSION, task.arbitration,
-                  *task.backends, task.filename, str(task.fuzz_seed)]
-    if task.validate:
-        parts += [task.filename, str(task.fuzz_seed)]
+                  *task.backends]
     if faults.faults_enabled() and faults.affects_results():
         # Scheduler-only faults (journal/dispatch parent-kill) never
         # change report content, so they stay out of the key — the run
         # they crash must resume onto the keys it journaled.
-        parts += ["faults", task.filename]
+        parts.append("faults")
     return content_key(*parts)
 
 
@@ -1065,14 +1004,6 @@ def _quarantined_report(filename: str, text: str,
                                     message)])
 
 
-_PENDING = object()     # dedup sentinel: representative still computing
-
-#: Slot kinds for the streaming emission queue.
-_SLOT_REPORT = 0        # resolved report (preprocess failure)
-_SLOT_UNIQUE = 1        # representative task, waiting on the executor
-_SLOT_DUP = 2           # duplicate content, waiting on its representative
-
-
 @dataclass
 class StreamInfo:
     """What a :class:`BatchStream` learned while it ran (final after the
@@ -1080,13 +1011,11 @@ class StreamInfo:
 
     jobs: int = 1
     window: int = 0
-    #: Peak count of unemitted *reports* the parent held (executor
-    #: in-flight plus resolved representatives awaiting their emission
-    #: turn) — the memory-bound witness.  Duplicate-file bookkeeping is
-    #: a constant-size tuple per file and is not counted.
+    #: Peak count of dispatched tasks whose reports the parent had not
+    #: yet emitted (executor in-flight plus completed reports awaiting
+    #: their emission turn) — the memory-bound witness.
     max_buffered: int = 0
     emitted: int = 0
-    deduplicated: int = 0
     preprocess_failures: int = 0
     #: Files served straight from an attached run journal (``--resume``).
     replayed: int = 0
@@ -1105,13 +1034,12 @@ class BatchStream:
 
     The lazy counterpart of :func:`apply_batch`: files are preprocessed
     in the parent *as the scheduler asks for them* (incremental
-    pre-warm), content deduplication runs against a bounded LRU of
-    representative reports, and completed reports are yielded to the
-    caller the moment their turn in filename order comes up.  The
-    parent therefore holds O(window + dedup window) state instead of
-    O(batch) — at 10k files it never retains 10k reports — while
-    emission order, per-report content, and fault containment match
-    :func:`apply_batch` exactly.
+    pre-warm), every file is one task, and completed reports are
+    yielded to the caller the moment their turn in filename order comes
+    up.  The parent therefore holds O(window) state instead of O(batch)
+    — at 10k files it never retains 10k reports — while emission order,
+    per-report content, and fault containment match :func:`apply_batch`
+    exactly.
 
     Iterate it once; ``info`` is complete after exhaustion.  Consumers
     that need the whole batch in memory should use :func:`apply_batch`,
@@ -1127,7 +1055,6 @@ class BatchStream:
                  arbitration: str | None = None,
                  session: AnalysisSession | None = None,
                  window: int | None = None,
-                 dedup_cap: int | None = None,
                  memoize_preprocess: bool = False,
                  journal=None):
         self.program = program
@@ -1160,12 +1087,9 @@ class BatchStream:
         self.executor = make_executor(jobs)
         self.window = window if window is not None \
             else stream_window(self.executor.jobs)
-        self.dedup_cap = dedup_window() if dedup_cap is None else dedup_cap
         self.memoize_preprocess = memoize_preprocess
         self.info = StreamInfo(jobs=self.executor.jobs,
                                window=self.window)
-        self._reps: dict[str, object] = {}        # work key -> report
-        self._pins: dict[str, int] = {}           # keys dup slots await
         self._gen = self._run()
 
     def __iter__(self):
@@ -1174,27 +1098,15 @@ class BatchStream:
     def __next__(self):
         return next(self._gen)
 
-    def _trim_reps(self) -> None:
-        """Evict resolved, unpinned representatives beyond the cap
-        (oldest first — plain dicts preserve insertion order)."""
-        if self.dedup_cap <= 0:
-            return
-        while len(self._reps) > self.dedup_cap:
-            for key, value in self._reps.items():
-                if value is _PENDING or key in self._pins:
-                    continue
-                del self._reps[key]
-                break
-            else:
-                return      # everything live; the cap yields to safety
-
-    def _build_tasks(self, slots, unique_keys, pp_texts):
-        """Generate unique tasks lazily, recording a slot per file.
+    def _build_tasks(self, slots, pending, pp_texts):
+        """Generate tasks lazily, recording an emission slot per file.
 
         Runs in the parent, driven by the executor's dispatch window:
         each pull preprocesses (and thereby pre-warms the store for)
-        exactly one more file.  Duplicate-content files pin their
-        representative's entry and yield nothing.
+        exactly one more file.  A slot is ``[filename, work key,
+        report]``; files resolved without the executor (preprocess
+        failure, journal replay, quarantine) get their report and no
+        key, dispatched ones join ``pending`` until their result lands.
         """
         program = self.program
         memo = program._pp_memo
@@ -1222,10 +1134,10 @@ class BatchStream:
                     if self.journal is not None:
                         self.journal.record_result(
                             filename,
-                            content_key("pp-fail",
+                            content_key("pp-fail", filename,
                                         program.files[filename]),
                             failure)
-                    slots.append((filename, _SLOT_REPORT, failure))
+                    slots.append([filename, None, failure])
                     continue
                 self.info.pp_timings[filename] = \
                     time.perf_counter() - start
@@ -1243,7 +1155,7 @@ class BatchStream:
                 replayed = self.journal.replay(filename, key)
                 if replayed is not None:
                     self.info.replayed += 1
-                    slots.append((filename, _SLOT_REPORT, replayed))
+                    slots.append([filename, None, replayed])
                     continue
                 from .runlog import quarantine_lookup
                 entry = quarantine_lookup(text)
@@ -1252,21 +1164,11 @@ class BatchStream:
                     report = _quarantined_report(filename, text, entry)
                     self.journal.record_quarantined(filename, key, entry)
                     self.journal.write_audit(report)
-                    slots.append((filename, _SLOT_REPORT, report))
+                    slots.append([filename, None, report])
                     continue
-            if key in self._reps:
-                self.info.deduplicated += 1
-                self._pins[key] = self._pins.get(key, 0) + 1
-                slots.append((filename, _SLOT_DUP, key))
-                continue
-            self._reps[key] = _PENDING
-            # The pin keeps a resolved-but-not-yet-emitted
-            # representative safe from _trim_reps until its slot (and
-            # every duplicate's) has been served.
-            self._pins[key] = self._pins.get(key, 0) + 1
-            self._trim_reps()
-            unique_keys.append(key)
-            slots.append((filename, _SLOT_UNIQUE, key))
+            slot = [filename, key, None]
+            slots.append(slot)
+            pending.append(slot)
             if self.journal is not None:
                 self.journal.record_dispatched(filename, key)
             yield task
@@ -1292,7 +1194,7 @@ class BatchStream:
     def _run(self):
         from collections import deque
         slots: deque = deque()
-        unique_keys: deque = deque()
+        pending: deque = deque()
         pp_texts: dict[str, str] | None = \
             {} if self.memoize_preprocess else None
         # A single-file program gains nothing from forking (the
@@ -1300,36 +1202,20 @@ class BatchStream:
         # requested job count still lands in ``info.jobs``.
         runner = SerialExecutor() if self.program.file_count <= 1 \
             and self.executor.jobs > 1 else self.executor
-        results = runner.imap(
-            self._build_tasks(slots, unique_keys, pp_texts),
-            window=self.window)
+        results = runner.imap(self._build_tasks(slots, pending, pp_texts),
+                              window=self.window)
         exhausted = False
-        resolved_unemitted = 0
+        completed_unemitted = 0
         while True:
-            buffered = len(unique_keys) + resolved_unemitted
+            buffered = len(pending) + completed_unemitted
             if buffered > self.info.max_buffered:
                 self.info.max_buffered = buffered
-            while slots:
-                filename, kind, value = slots[0]
-                if kind == _SLOT_REPORT:
-                    slots.popleft()
-                    self.info.emitted += 1
-                    yield value
-                    continue
-                report = self._reps.get(value)
-                if report is _PENDING:
-                    break           # head still computing: pull results
-                slots.popleft()
-                self._pins[value] -= 1
-                if not self._pins[value]:
-                    del self._pins[value]
-                if kind == _SLOT_UNIQUE:
-                    resolved_unemitted -= 1
-                elif report.filename != filename:
-                    report = dataclasses.replace(
-                        report, filename=filename)
-                if self.journal is not None:
-                    self._journal_emission(filename, value, report)
+            while slots and slots[0][2] is not None:
+                filename, key, report = slots.popleft()
+                if key is not None:
+                    completed_unemitted -= 1
+                    if self.journal is not None:
+                        self._journal_emission(filename, key, report)
                 self.info.emitted += 1
                 yield report
             if exhausted and not slots:
@@ -1339,11 +1225,8 @@ class BatchStream:
             except StopIteration:
                 exhausted = True
                 continue
-            key = unique_keys.popleft()
-            resolved_unemitted += 1
-            if key in self._reps:
-                self._reps[key] = report
-            self._trim_reps()
+            pending.popleft()[2] = report
+            completed_unemitted += 1
         self.info.supervision = dict(runner.supervision)
         if self.journal is not None:
             self.journal.close()
@@ -1362,8 +1245,7 @@ def stream_batch(program: SourceProgram, **kwargs) -> BatchStream:
     :class:`FileTransformReport` objects in filename order while the
     pool is still working on later files.  Accepts the same keyword
     arguments as :func:`apply_batch` plus ``window`` (dispatch-ahead
-    bound, default ``REPRO_STREAM_WINDOW``) and ``dedup_cap``
-    (representative-retention bound, default ``REPRO_DEDUP_WINDOW``)."""
+    bound, default :func:`stream_window`)."""
     return BatchStream(program, **kwargs)
 
 
@@ -1383,10 +1265,9 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
     so serial and parallel runs produce byte-identical reports.
 
     Preprocessing runs in the parent — pre-warming the shared caches
-    (and the persistent store) before any worker forks — and tasks with
-    identical work keys are deduplicated, so no two workers ever
-    transform the same content: the representative's report is cloned
-    under each duplicate's filename.
+    (and the persistent store) before any worker forks.  Every file is
+    its own task; identical content is shared only through the
+    content-keyed SLR/STR caches and the artifact store.
 
     ``validate=True`` runs the differential oracle on every transformed
     file (``None`` defers to ``session.validate``); verdicts land on
@@ -1416,16 +1297,16 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
     """
     before = snapshot_stats()
     start = time.perf_counter()
-    # Unbounded window and dedup retention: apply_batch holds every
-    # report anyway, so capping dispatch-ahead would only risk idling
-    # workers behind a slow emission head; streaming consumers that
-    # want the bounds use stream_batch directly.
+    # Unbounded window: apply_batch holds every report anyway, so
+    # capping dispatch-ahead would only risk idling workers behind a
+    # slow emission head; streaming consumers that want the bound use
+    # stream_batch directly.
     stream = BatchStream(program, run_slr=run_slr, run_str=run_str,
                          profile=profile, jobs=jobs, validate=validate,
                          fuzz_seed=fuzz_seed, backends=backends,
                          arbitration=arbitration, session=session,
                          window=max(1, program.file_count),
-                         dedup_cap=0, memoize_preprocess=True,
+                         memoize_preprocess=True,
                          journal=journal)
     reports = list(stream)
     wall = time.perf_counter() - start
@@ -1451,7 +1332,6 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
         slr=delta("slr"), str_=delta("str"), validate=delta("validate"),
         backend=delta("backend"),
         stage_times=stage_times,
-        deduplicated=stream.info.deduplicated,
         supervision=stream.info.supervision,
         backends_attempted=result.backends_attempted,
         backends_rejected=result.backends_rejected,

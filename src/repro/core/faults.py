@@ -20,7 +20,7 @@ of ``stage:kind:rate`` rules:
     appends — the crash-recovery suite plants ``parent-kill`` there).
 ``kind``
     ``exception``    raise :class:`InjectedFault` at the stage boundary;
-    ``hang``         stall the stage (``REPRO_FAULT_HANG_S`` seconds in
+    ``hang``         stall the stage (:data:`DEFAULT_HANG_S` seconds in
                      a supervised pool worker, where the watchdog is
                      expected to kill it; a short cooperative stall +
                      :class:`InjectedHang` elsewhere);
@@ -222,14 +222,6 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def hang_seconds() -> float:
-    try:
-        return float(os.environ.get("REPRO_FAULT_HANG_S",
-                                    str(DEFAULT_HANG_S)))
-    except ValueError:
-        return DEFAULT_HANG_S
-
-
 # ------------------------------------------------------------ injection
 
 def check(stage: str, subject: str) -> None:
@@ -253,9 +245,9 @@ def check(stage: str, subject: str) -> None:
             if in_worker():
                 # Stall long enough for the watchdog; if no watchdog is
                 # armed the worker recovers cooperatively afterwards.
-                time.sleep(hang_seconds())
+                time.sleep(DEFAULT_HANG_S)
             else:
-                time.sleep(min(hang_seconds(), 0.05))
+                time.sleep(min(DEFAULT_HANG_S, 0.05))
             raise InjectedHang(
                 f"injected {stage} hang for {subject}")
         if rule.kind == "kill":

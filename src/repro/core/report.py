@@ -94,9 +94,6 @@ def render_batch_stats(result: BatchResult) -> str:
     if stats is not None:
         table += (f"\n\nbatch: {len(result.reports)} files in "
                   f"{stats.wall_time:.3f}s with {stats.jobs} job(s)")
-        if stats.deduplicated:
-            table += (f"; {stats.deduplicated} duplicate-content "
-                      f"task(s) shared one result")
     return table
 
 

@@ -52,7 +52,6 @@ degrades to a warn-once unjournaled run, never a failed batch
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
 import errno
 import io
@@ -347,8 +346,6 @@ class RunJournal:
                 report = pickle.loads(handle.read())
         except Exception:
             return None
-        if getattr(report, "filename", filename) != filename:
-            report = dataclasses.replace(report, filename=filename)
         return report
 
     # -------------------------------------------------------- audit trail

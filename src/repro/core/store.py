@@ -16,13 +16,10 @@ ever sees the same content gets them for one ``open`` + ``unpickle``:
   spreads parallel workers — and future service replicas sharing one
   artifact namespace — over N directories per family instead of
   contending on one, and gives ``repro cache stats`` a per-shard view of
-  where writes land.  Entries published by older checkouts under the
-  pre-shard flat layout (``family/<key prefix>/key.pkl``) are still
-  found by read-through and migrated to their shard on first hit.  A
-  code change anywhere in the package changes the fingerprint
-  (:func:`repro.fingerprint.tool_fingerprint`), so entries computed by
-  an older checkout are never consulted; ``repro cache gc`` reclaims
-  them.
+  where writes land.  A code change anywhere in the package changes
+  the fingerprint (:func:`repro.fingerprint.tool_fingerprint`), so
+  entries computed by an older checkout are never consulted; ``repro
+  cache gc`` reclaims them.
 * **crash-safe concurrent access** — writers pickle to a uniquely named
   temp file in the same directory and publish with :func:`os.replace`
   (atomic rename).  Racing writers both publish complete entries (last
@@ -89,10 +86,7 @@ TMP_MAX_AGE_S = 300.0
 DEFAULT_STORE_SHARDS = 16
 
 #: The counter fields every per-family / per-shard tally carries.
-#: ``migrated`` counts flat-layout entries rehomed to their shard by
-#: read-through.
-COUNTER_FIELDS = ("hits", "misses", "bytes_read", "bytes_written",
-                  "migrated")
+COUNTER_FIELDS = ("hits", "misses", "bytes_read", "bytes_written")
 
 
 def default_cache_dir() -> str:
@@ -184,11 +178,6 @@ class ArtifactStore:
         return os.path.join(self.version_dir, family,
                             self.shard_label(key), key + ".pkl")
 
-    def _legacy_entry_path(self, family: str, key: str) -> str:
-        """Where the pre-shard flat layout kept this entry."""
-        return os.path.join(self.version_dir, family, key[:2],
-                            key + ".pkl")
-
     def _family_counter(self, family: str) -> dict[str, int]:
         counter = self.counters.get(family)
         if counter is None:
@@ -213,41 +202,20 @@ class ArtifactStore:
         Anything unreadable — missing entry, truncated pickle, an entry
         whose class layout changed under a stale fingerprint override —
         is a miss; corrupt files are unlinked so they are rebuilt once.
-        A sharded-path miss falls through to the pre-shard flat layout,
-        and a flat hit is migrated to its shard so the next reader pays
-        one ``open``.
         """
         counter = self._family_counter(family)
         shard = self._shard_counter(family, key)
         self._register_flush()
         path = self._entry_path(family, key)
-        legacy = False
-        data = None
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
-        except FileNotFoundError:
-            data = None
         except OSError as exc:
-            self._warn_once("read", exc)
+            if not isinstance(exc, FileNotFoundError):
+                self._warn_once("read", exc)
             counter["misses"] += 1
             shard["misses"] += 1
             return False, None, 0
-        if data is None:
-            legacy_path = self._legacy_entry_path(family, key)
-            try:
-                with open(legacy_path, "rb") as handle:
-                    data = handle.read()
-                legacy = True
-            except FileNotFoundError:
-                counter["misses"] += 1
-                shard["misses"] += 1
-                return False, None, 0
-            except OSError as exc:
-                self._warn_once("read", exc)
-                counter["misses"] += 1
-                shard["misses"] += 1
-                return False, None, 0
         if faults.faults_enabled():
             data = faults.corrupt_entry(key, data)
         try:
@@ -256,34 +224,15 @@ class ArtifactStore:
             counter["misses"] += 1
             shard["misses"] += 1
             try:
-                os.unlink(legacy_path if legacy else path)
+                os.unlink(path)
             except OSError:
                 pass
             return False, None, 0
-        if legacy:
-            self._migrate_legacy(family, key, path, data)
         counter["hits"] += 1
         counter["bytes_read"] += len(data)
         shard["hits"] += 1
         shard["bytes_read"] += len(data)
         return True, value, len(data)
-
-    def _migrate_legacy(self, family: str, key: str, path: str,
-                        data: bytes) -> None:
-        """Rehome a flat-layout entry under its shard (best-effort).
-
-        Publishing first and unlinking second keeps racing readers safe:
-        both paths hold a complete entry throughout, and a concurrent
-        migration losing the unlink race is a no-op (ENOENT tolerated).
-        """
-        if not self._publish(path, data):
-            return
-        try:
-            os.unlink(self._legacy_entry_path(family, key))
-        except OSError:
-            pass
-        self._family_counter(family)["migrated"] += 1
-        self._shard_counter(family, key)["migrated"] += 1
 
     def _publish(self, path: str, data: bytes) -> bool:
         """Atomically write ``data`` at ``path`` (tmp + rename)."""
@@ -353,12 +302,7 @@ class ArtifactStore:
         return out
 
     def shard_usage(self) -> dict[str, dict[str, dict[str, int]]]:
-        """Per-family, per-shard-directory ``{entries, bytes}``.
-
-        Legacy flat-layout prefix directories show up under their own
-        two-character names, so unmigrated residue is visible next to
-        the ``sNNN`` shards it will move into.
-        """
+        """Per-family, per-shard-directory ``{entries, bytes}``."""
         out: dict[str, dict[str, dict[str, int]]] = {}
         for family in FAMILIES:
             family_dir = os.path.join(self.version_dir, family)
@@ -574,16 +518,12 @@ class ArtifactStore:
 
     def persisted_counters(self) -> dict[str, dict[str, int]]:
         """Lifetime per-family counters merged over every recorded
-        process, including this one's live (not yet flushed) numbers.
-
-        Counter files written before sharding (a plain family dict) are
-        merged the same as the current ``{"families": …, "shards": …}``
-        shape."""
+        process, including this one's live (not yet flushed) numbers."""
         merged: dict[str, dict[str, int]] = {}
         for payload in self._each_counter_file():
             if not isinstance(payload, dict):
                 continue
-            families = payload.get("families", payload)
+            families = payload.get("families")
             if isinstance(families, dict):
                 self._merge_counters(merged, families)
         self._merge_counters(merged, self.counters)

@@ -66,20 +66,6 @@ DEFAULT_STEP_LIMIT = 2_000_000
 DEFAULT_MEM_LIMIT = 64 * 1024 * 1024
 
 
-def oracle_step_limit() -> int:
-    """Per-run step budget for oracle executions
-    (``REPRO_VALIDATE_STEPS``, default :data:`DEFAULT_STEP_LIMIT`)."""
-    return int_knob("REPRO_VALIDATE_STEPS", DEFAULT_STEP_LIMIT)
-
-
-def oracle_mem_limit() -> int | None:
-    """Per-run allocation budget for oracle executions
-    (``REPRO_VALIDATE_MEM`` bytes, default :data:`DEFAULT_MEM_LIMIT`;
-    0 disables the budget)."""
-    value = int_knob("REPRO_VALIDATE_MEM", DEFAULT_MEM_LIMIT, minimum=0)
-    return value if value > 0 else None
-
-
 @dataclass(frozen=True)
 class DifferentialInput:
     """One stdin the oracle feeds to both program versions."""
@@ -306,8 +292,8 @@ def _inputs_key_parts(inputs: list[DifferentialInput]) -> list[str]:
 def validate_pair(original: str, transformed: str, *,
                   filename: str = "<unit>",
                   inputs: list[DifferentialInput] | None = None,
-                  step_limit: int | None = None,
-                  mem_limit: int | None = None,
+                  step_limit: int = DEFAULT_STEP_LIMIT,
+                  mem_limit: int | None = DEFAULT_MEM_LIMIT,
                   entry: str = "main") -> ValidationReport:
     """Run ``original`` vs ``transformed`` on every input and classify.
 
@@ -318,18 +304,14 @@ def validate_pair(original: str, transformed: str, *,
     same probe bytes by any earlier run of this tool version.
 
     Every probe run carries a step and a cumulative-allocation budget
-    (``step_limit`` / ``mem_limit``; ``None`` defers to the
-    ``REPRO_VALIDATE_STEPS`` / ``REPRO_VALIDATE_MEM`` knobs), so one
-    pathological input cannot hang or balloon a validation worker.
+    (``step_limit`` / ``mem_limit``; ``mem_limit=None`` lifts the
+    allocation budget), so one pathological input cannot hang or
+    balloon a validation worker.
     """
     if original == transformed:
         return ValidationReport(filename, [], unchanged=True)
     if inputs is None:
         inputs = default_inputs(filename)
-    if step_limit is None:
-        step_limit = oracle_step_limit()
-    if mem_limit is None:
-        mem_limit = oracle_mem_limit()
     key = content_key("validate", filename, original, transformed,
                       str(step_limit), str(mem_limit), entry,
                       *_inputs_key_parts(inputs))
@@ -400,8 +382,9 @@ class IncrementalValidator:
     def validate(self, original: str, transformed: str,
                  dirty: frozenset | None = None, *,
                  inputs: list[DifferentialInput] | None = None,
-                 step_limit: int | None = None,
-                 mem_limit: int | None = None) -> ValidationReport:
+                 step_limit: int = DEFAULT_STEP_LIMIT,
+                 mem_limit: int | None = DEFAULT_MEM_LIMIT
+                 ) -> ValidationReport:
         if original == transformed:
             # Mirror validate_pair's short-circuit.  No runs were taken,
             # so the stored basis no longer matches the next edit's
@@ -411,10 +394,6 @@ class IncrementalValidator:
             return ValidationReport(self.filename, [], unchanged=True)
         if inputs is None:
             inputs = default_inputs(self.filename)
-        if step_limit is None:
-            step_limit = oracle_step_limit()
-        if mem_limit is None:
-            mem_limit = oracle_mem_limit()
         new_runs: dict[str, tuple[ExecutionResult, ExecutionResult]] = {}
         verdicts = []
         reusable = dirty is not None and self._basis is not None
@@ -451,8 +430,9 @@ class IncrementalValidator:
 
 def validate_result(result, *, filename: str = "<unit>",
                     inputs: list[DifferentialInput] | None = None,
-                    step_limit: int | None = None,
-                    mem_limit: int | None = None) -> ValidationReport:
+                    step_limit: int = DEFAULT_STEP_LIMIT,
+                    mem_limit: int | None = DEFAULT_MEM_LIMIT
+                    ) -> ValidationReport:
     """Convenience: validate a :class:`TransformResult` end-to-end."""
     return validate_pair(result.original_text, result.new_text,
                          filename=filename, inputs=inputs,

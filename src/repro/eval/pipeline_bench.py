@@ -207,7 +207,6 @@ def run_summary(*, scale: float = 0.05, limit: int = 24, jobs: int = 1,
         "stream": {
             "window": info.window,
             "max_buffered": info.max_buffered,
-            "deduplicated": info.deduplicated,
             "preprocess_failures": info.preprocess_failures,
             "supervision": dict(info.supervision),
         },

@@ -47,7 +47,6 @@ def _fault_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
     monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_HANG_S", raising=False)
     yield
 
 
@@ -180,7 +179,7 @@ class TestWorkerFaults:
 
     def test_hang_killed_by_watchdog(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "slr:hang:0.4")
-        monkeypatch.setenv("REPRO_FAULT_HANG_S", "30")
+        monkeypatch.setattr(faults, "DEFAULT_HANG_S", 30.0)
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.5")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "0")
         names = sorted(chaos_program(8).files)
@@ -199,7 +198,7 @@ class TestWorkerFaults:
         assert pooled.stats.supervision["timeouts"] == len(hung)
 
         # Serial runs stall cooperatively but reach the same shape.
-        monkeypatch.setenv("REPRO_FAULT_HANG_S", "0.01")
+        monkeypatch.setattr(faults, "DEFAULT_HANG_S", 0.01)
         serial = apply_batch(chaos_program(8), jobs=1)
         assert [(r.filename, r.status,
                  sorted((d.stage, d.kind) for d in r.diagnostics))
@@ -212,7 +211,7 @@ class TestWorkerFaults:
         # Watchdog generous enough that the retry (which hangs again,
         # briefly) completes: the file must come through clean.
         monkeypatch.setenv("REPRO_FAULTS", "slr:hang:1.0")
-        monkeypatch.setenv("REPRO_FAULT_HANG_S", "0.01")
+        monkeypatch.setattr(faults, "DEFAULT_HANG_S", 0.01)
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "30")
         serial = apply_batch(chaos_program(2), jobs=1)
         # Cooperative hangs raise InjectedHang → timeout diagnostics.
@@ -247,6 +246,5 @@ class TestDedupUnderFaults:
         faulted = set(faults.faulted_subjects("slr", "exception",
                                               ["a.c", "b.c"]))
         batch = apply_batch(program, jobs=1)
-        assert batch.stats.deduplicated == 0
         assert {r.filename for r in batch.reports
                 if r.diagnostics} == faulted

@@ -149,4 +149,3 @@ class TestPipelineIntegration:
         payload = result.stats.as_dict()
         assert "stage_totals_s" in payload
         assert "slr_cache" in payload and "validate_cache" in payload
-        assert payload["deduplicated"] == 0

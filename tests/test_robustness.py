@@ -301,20 +301,29 @@ class TestVMMemoryBudget:
         result = run_source(source, mem_limit=1 << 20)
         assert result.ok and result.exit_code == 5
 
-    def test_oracle_budget_knobs(self, monkeypatch):
-        from repro.core.validate import (
-            DEFAULT_MEM_LIMIT, DEFAULT_STEP_LIMIT, oracle_mem_limit,
-            oracle_step_limit,
-        )
-        monkeypatch.delenv("REPRO_VALIDATE_STEPS", raising=False)
-        monkeypatch.delenv("REPRO_VALIDATE_MEM", raising=False)
-        assert oracle_step_limit() == DEFAULT_STEP_LIMIT
-        assert oracle_mem_limit() == DEFAULT_MEM_LIMIT
-        monkeypatch.setenv("REPRO_VALIDATE_STEPS", "1234")
-        monkeypatch.setenv("REPRO_VALIDATE_MEM", "0")
-        assert oracle_step_limit() == 1234
-        assert oracle_mem_limit() is None
-        monkeypatch.setenv("REPRO_VALIDATE_STEPS", "soon")
-        monkeypatch.setenv("REPRO_VALIDATE_MEM", "big")
-        assert oracle_step_limit() == DEFAULT_STEP_LIMIT
-        assert oracle_mem_limit() == DEFAULT_MEM_LIMIT
+    def test_oracle_budget_knobs(self):
+        """The oracle's step and allocation budgets are validate_pair
+        parameters: the defaults let a small program finish, a tight
+        budget traps it, and ``mem_limit=None`` lifts the allocation
+        budget."""
+        from repro.core.validate import DifferentialInput, validate_pair
+        probe = [DifferentialInput("empty", b"", "benign")]
+
+        def fault(src, **limits):
+            text = pp(src, "budget.c")
+            verdict = validate_pair(text, text + "\n",
+                                    filename="budget.c", inputs=probe,
+                                    **limits).verdicts[0]
+            return verdict.fault_before, verdict.fault_after
+
+        loop = ("int main(void) { int i; int s = 0;\n"
+                "  for (i = 0; i < 100000; i++) s += i;\n"
+                "  return s & 7; }\n")
+        assert fault(loop) == ("", "")
+        assert fault(loop, step_limit=1000) == ("step-limit",
+                                                 "step-limit")
+        alloc = ("#include <stdlib.h>\n"
+                 "int main(void) { char *p = malloc(4096); free(p);\n"
+                 "  return 3; }\n")
+        assert fault(alloc, mem_limit=1024) == ("mem-limit", "mem-limit")
+        assert fault(alloc, mem_limit=None) == ("", "")

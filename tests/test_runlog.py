@@ -37,8 +37,7 @@ REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def make_files(count: int, tag: str = "") -> dict[str, str]:
-    """``count`` distinct single-overflow C files (distinct content, so
-    no two deduplicate into one work key)."""
+    """``count`` single-overflow C files with distinct content."""
     files = {}
     for i in range(count):
         files[f"file{i:02d}.c"] = (
@@ -159,6 +158,22 @@ class TestJournalRoundTrip:
         assert '"one %s\\n"' in next(
             r.final_text for r in replay.reports
             if r.filename == "file01.c")
+
+    def test_validate_seed_change_recomputes(self, tmp_path, monkeypatch):
+        """The oracle's probes follow ``REPRO_VALIDATE_SEED``; a resume
+        under another seed must not replay verdicts from the old one."""
+        program = make_program(2)
+        root = str(tmp_path / "runs")
+        monkeypatch.setenv("REPRO_VALIDATE_SEED", "1")
+        journal = RunJournal("run-a", root=root)
+        journal.begin(program, {})
+        apply_batch(program, jobs=1, validate=True, journal=journal)
+        monkeypatch.setenv("REPRO_VALIDATE_SEED", "2")
+        resumed = RunJournal("run-a", root=root)
+        resumed.load()
+        replay = apply_batch(program, jobs=1, validate=True,
+                             journal=resumed)
+        assert replay.stats.replayed == 0
 
 
 # --------------------------------------------------------- crash resume

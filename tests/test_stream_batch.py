@@ -2,7 +2,7 @@
 
 The streaming batch must be byte-identical to the collecting batch at
 any worker count, emit in filename order, and keep the parent's working
-set bounded by the stream/dedup windows instead of the batch size.
+set bounded by the stream window instead of the batch size.
 """
 
 import gc
@@ -11,8 +11,8 @@ import weakref
 import pytest
 
 from repro.core.batch import (
-    BatchStream, ProcessPoolExecutor, SerialExecutor, SourceProgram,
-    apply_batch, dedup_window, stream_batch, stream_window,
+    BatchStream, ProcessPoolExecutor, SourceProgram, apply_batch,
+    stream_batch, stream_window,
 )
 
 BROKEN_TMPL = """\
@@ -74,7 +74,6 @@ class TestStreamEquivalence:
         src = BROKEN_TMPL.format(tag="dup")
         program = SourceProgram("dup", {"a.c": src, "b.c": src})
         result = apply_batch(program, jobs=1, validate=False)
-        assert result.stats.deduplicated == 1
         assert result.reports[0].final_text \
             == result.reports[1].final_text
         assert [r.filename for r in result.reports] == ["a.c", "b.c"]
@@ -101,7 +100,7 @@ class TestStreamLaziness:
             f"f{i:04d}.c": BROKEN_TMPL.format(tag=f"u{i % unique}")
             for i in range(1000)})
         stream = stream_batch(program, jobs=1, validate=False,
-                              window=16, dedup_cap=32)
+                              window=16)
         alive = []
         peak_alive = 0
         count = 0
@@ -116,40 +115,18 @@ class TestStreamLaziness:
         assert count == 1000
         gc.collect()
         assert peak_alive < 300          # never anywhere near O(batch)
-        assert stream.info.deduplicated == 1000 - unique
         assert stream.info.max_buffered <= 16   # bounded by the window
 
-    def test_dedup_cap_trims_but_stays_correct(self, fresh_store):
-        """With a tiny dedup window, later duplicates recompute instead
-        of cloning — outputs identical, only the dedup count drops."""
-        src_a = BROKEN_TMPL.format(tag="cap-a")
-        src_b = BROKEN_TMPL.format(tag="cap-b")
-        files = {}
-        for i in range(6):
-            files[f"f{i:02d}.c"] = src_a if i % 2 == 0 else src_b
-        capped = list(stream_batch(SourceProgram("cap", dict(files)),
-                                   jobs=1, validate=False, dedup_cap=1))
-        uncapped = list(stream_batch(SourceProgram("cap", dict(files)),
-                                     jobs=1, validate=False,
-                                     dedup_cap=0))
-        assert [report_shape(r) for r in capped] \
-            == [report_shape(r) for r in uncapped]
-
-
 class TestStreamSupervisionAndKnobs:
-    def test_stream_window_knob(self, monkeypatch):
+    def test_stream_window_knob(self, fresh_store):
+        """The default window scales with jobs; ``window=`` overrides."""
+        assert stream_window(1) == 16
         assert stream_window(4) == 16
         assert stream_window(8) == 32
-        monkeypatch.setenv("REPRO_STREAM_WINDOW", "7")
-        assert stream_window(4) == 7
-        monkeypatch.setenv("REPRO_STREAM_WINDOW", "bogus")
-        with pytest.warns(RuntimeWarning):
-            assert stream_window(4) == 16
-
-    def test_dedup_window_knob(self, monkeypatch):
-        assert dedup_window() == 4096
-        monkeypatch.setenv("REPRO_DEDUP_WINDOW", "12")
-        assert dedup_window() == 12
+        assert stream_batch(distinct_program(2), jobs=1,
+                            validate=False).window == 16
+        assert stream_batch(distinct_program(2), jobs=1, validate=False,
+                            window=7).window == 7
 
     def test_executor_imap_streams_in_order(self, fresh_store):
         from repro.core.batch import FileTask
@@ -163,18 +140,6 @@ class TestStreamSupervisionAndKnobs:
         assert [r.filename for _, r in indexed] \
             == [t.filename for t in tasks]
         assert pool.max_inflight <= 4
-
-    def test_serial_imap_matches_map(self, fresh_store):
-        from repro.core.batch import FileTask
-        tasks = [FileTask(f"t{i}.c",
-                          BROKEN_TMPL.format(tag=f"ser-{i}"),
-                          validate=False)
-                 for i in range(3)]
-        serial = SerialExecutor()
-        via_map = serial.map(tasks)
-        via_imap = [r for _, r in SerialExecutor().imap(iter(tasks))]
-        assert [report_shape(r) for r in via_map] \
-            == [report_shape(r) for r in via_imap]
 
     def test_stream_survives_worker_death(self, fresh_store,
                                           monkeypatch):
